@@ -7,6 +7,14 @@
 // the program graph matches the paper's use of the UCI VLIW compiler: data
 // flow that crosses basic-block boundaries in the sequential code becomes
 // visible inside one scheduling region.
+//
+// Hoisting order is deterministic and fixed: always from the lowest-index
+// block that has a movable operation, re-evaluated after every motion.
+// The implementation keeps a worklist of blocks whose movable set may have
+// changed (a clean block provably has none) and updates liveness
+// incrementally, so a motion costs one CFG walk per register it moves
+// instead of a whole-function liveness rebuild and rescan; percolate.cpp
+// states the invariant.
 #pragma once
 
 #include "ir/function.hpp"
