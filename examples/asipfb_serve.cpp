@@ -7,36 +7,33 @@
 //   < {"id": 1, "kind": "detect", "workload": "fir", "ok": true, ...}
 //
 // One command per input line (grammar: src/service/protocol.hpp and
-// docs/SERVICE.md).  Requests are submitted asynchronously to a
-// service::Server and responses are printed in submission order, so a
-// scripted session's output is deterministic and diffable — CI pipes
-// examples/serve_demo.txt through this binary and diffs the result.
-// Control lines: `source <name> <n>` binds the next n raw lines as BenchC
-// under a workload name, `stats` prints server counters, `ping` prints a
-// liveness line, `quit` (or EOF) drains and exits.
+// docs/SERVICE.md).  Requests are submitted asynchronously to a one-shard
+// service::Router through service::ProtocolSession — the same protocol
+// state machine every TCP connection runs — and responses are printed in
+// submission order, so a scripted session's output is deterministic and
+// diffable: CI pipes examples/serve_demo.txt through this binary and
+// diffs the result.  Control lines: `source <name> <n>` binds the next n
+// raw lines as BenchC under a workload name, `stats` prints server
+// counters, `ping` prints a liveness line, `quit` (or EOF) drains and
+// exits.
 //
 // With --tcp PORT the same protocol is served over sockets instead
-// (service::TcpServer), optionally sharded (--shards N routes each
-// workload to a dedicated shard via consistent hashing); the process then
-// runs until SIGINT/SIGTERM and shuts down gracefully.  The stdio path is
-// unchanged and stays byte-stable for the checked-in transcript diff.
-#include <chrono>
+// (service::TcpServer, Linux only), optionally sharded (--shards N routes
+// each workload to a dedicated shard via consistent hashing); the process
+// then runs until SIGINT/SIGTERM and shuts down gracefully.
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
-#include <future>
-#include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 
 #include "service/net.hpp"
-#include "service/protocol.hpp"
 #include "service/router.hpp"
 #include "service/server.hpp"
-#include "support/json.hpp"
 
 using namespace asipfb;
 
@@ -166,6 +163,60 @@ void print_cache_summary(const std::shared_ptr<cache::Store>& store,
                static_cast<unsigned long long>(stats.baselines_disk));
 }
 
+/// Builds the (possibly sharded) service; prints the reason and returns
+/// null when the options are unusable (e.g. an unwritable cache dir).
+std::unique_ptr<service::Router> make_router(const ServeOptions& options) {
+  service::RouterOptions router_options;
+  router_options.shards = options.shards;
+  router_options.server = options.server;
+  try {
+    return std::make_unique<service::Router>(router_options);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());
+    return nullptr;
+  }
+}
+
+/// Stdio mode: one ProtocolSession fed from stdin and flushed to stdout.
+/// Submission blocks on a full shard queue (backpressure on this thread),
+/// and stdin is read only once every submitted request has answered, so an
+/// interactive client sees each response before it must send more.
+int serve_stdio(const ServeOptions& options) {
+  const std::unique_ptr<service::Router> router = make_router(options);
+  if (router == nullptr) return 1;
+
+  service::ProtocolSession::Options session_options;
+  session_options.with_latency = options.with_latency;
+  session_options.blocking_submit = true;
+  service::ProtocolSession session(*router, session_options);
+  char buf[1 << 16];
+  for (;;) {
+    for (;;) {
+      const bool progress = session.pump();
+      const std::string out = session.take_ready();
+      if (!out.empty()) {
+        std::fwrite(out.data(), 1, out.size(), stdout);
+        std::fflush(stdout);
+      }
+      if (!progress && out.empty()) break;
+    }
+    if (session.wants_close()) break;
+    if (session.pending() > 0) {
+      session.wait_pending();
+      continue;
+    }
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
+    if (n > 0) {
+      session.feed({buf, static_cast<std::size_t>(n)});
+    } else if (n == 0 || errno != EINTR) {
+      session.finish_input();
+    }
+  }
+  router->shutdown();
+  print_cache_summary(router->store(), router->stats());
+  return 0;
+}
+
 /// TCP mode: Router (sharded service) + TcpServer, then park on sigwait
 /// until SIGINT/SIGTERM and shut both down gracefully.  Signals are
 /// blocked before any thread is spawned so every thread inherits the
@@ -177,16 +228,8 @@ int serve_tcp(const ServeOptions& options) {
   sigaddset(&sigs, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
-  service::RouterOptions router_options;
-  router_options.shards = options.shards;
-  router_options.server = options.server;
-  std::unique_ptr<service::Router> router_holder;
-  try {
-    router_holder = std::make_unique<service::Router>(router_options);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());
-    return 1;
-  }
+  const std::unique_ptr<service::Router> router_holder = make_router(options);
+  if (router_holder == nullptr) return 1;
   service::Router& router = *router_holder;
 
   service::TcpServer::Options tcp_options;
@@ -236,109 +279,5 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
-  if (options.tcp) return serve_tcp(options);
-
-  std::unique_ptr<service::Server> server_holder;
-  try {
-    server_holder = std::make_unique<service::Server>(options.server);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());
-    return 1;
-  }
-  service::Server& server = *server_holder;
-  std::map<std::string, std::string> sources;  // `source`-bound programs.
-  std::deque<std::future<service::Response>> pending;
-
-  auto drain = [&] {
-    while (!pending.empty()) {
-      std::printf("%s\n", service::render_response(pending.front().get(),
-                                                   options.with_latency)
-                              .c_str());
-      pending.pop_front();
-    }
-    std::fflush(stdout);
-  };
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    service::Command command;
-    try {
-      command = service::parse_command(line);
-      if (command.type == service::Command::Type::kSource) {
-        std::string text;
-        for (int n = 0; n < command.source_lines; ++n) {
-          std::string body;
-          if (!std::getline(std::cin, body)) {
-            throw std::invalid_argument("EOF inside source block '" +
-                                        command.source_name + "'");
-          }
-          text += body;
-          text += '\n';
-        }
-        sources[command.source_name] = text;
-      }
-    } catch (const std::exception& ex) {
-      drain();  // Keep output in input order even for parse errors.
-      std::printf("%s\n", service::render_error(ex.what()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-
-    switch (command.type) {
-      case service::Command::Type::kComment:
-        break;
-      case service::Command::Type::kSource: {
-        drain();
-        support::JsonWriter ack;
-        ack.inline_object()
-            .member("source", command.source_name)
-            .member("lines", command.source_lines)
-            .end_object();
-        std::printf("%s\n", ack.str().c_str());
-        std::fflush(stdout);
-        break;
-      }
-      case service::Command::Type::kRequest: {
-        auto it = sources.find(command.request.workload);
-        if (it != sources.end()) command.request.source = it->second;
-        pending.push_back(server.submit(std::move(command.request)));
-        // Print any responses that are already finished, preserving order.
-        while (!pending.empty() &&
-               pending.front().wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready) {
-          std::printf("%s\n", service::render_response(pending.front().get(),
-                                                       options.with_latency)
-                                  .c_str());
-          pending.pop_front();
-          std::fflush(stdout);
-        }
-        break;
-      }
-      case service::Command::Type::kStats:
-        drain();  // Counters are deterministic once all pending work is done.
-        std::printf("%s\n",
-                    service::render_stats(server.stats(), options.with_latency)
-                        .c_str());
-        std::fflush(stdout);
-        break;
-      case service::Command::Type::kPing: {
-        drain();
-        support::JsonWriter pong;
-        pong.inline_object()
-            .member("pong", true)
-            .member("workers", server.workers())
-            .end_object();
-        std::printf("%s\n", pong.str().c_str());
-        std::fflush(stdout);
-        break;
-      }
-      case service::Command::Type::kQuit:
-        drain();
-        print_cache_summary(server.store(), server.stats());
-        return 0;
-    }
-  }
-  drain();
-  print_cache_summary(server.store(), server.stats());
-  return 0;
+  return options.tcp ? serve_tcp(options) : serve_stdio(options);
 }

@@ -1,5 +1,8 @@
 #include "frontend/parser.hpp"
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
 #include <utility>
 
 #include "frontend/lexer.hpp"
@@ -8,6 +11,21 @@ namespace asipfb::fe {
 
 namespace {
 
+/// Deepest AST the parser builds, in nesting levels: a statement sits one
+/// level below its enclosing statement, an expression operand one level
+/// below its operator (left-associative chains such as `1+1+...+1`
+/// included), and a parenthesized expression one level below its context.
+/// Sema, lowering and AST destruction all recurse once per level, so this
+/// bound is what keeps deeply nested untrusted source from overflowing the
+/// stack.  The deepest ASTs measured are 19 levels in the suite, 18 in
+/// the default corpus and 27 in the reduced gauntlet population
+/// (`--count 125 --mutants 3`).
+constexpr std::size_t kMaxAstDepth = 512;
+
+/// Unwinds the whole parse once the depth bound is breached; the located
+/// diagnostic is already reported.
+struct TooDeep {};
+
 class Parser {
 public:
   Parser(std::vector<Token> tokens, DiagnosticEngine& diags)
@@ -15,13 +33,47 @@ public:
 
   TranslationUnit run() {
     TranslationUnit unit;
-    while (!at(Tok::End) && !fatal_) {
-      parse_top_level(unit);
+    try {
+      while (!at(Tok::End) && !fatal_) {
+        parse_top_level(unit);
+      }
+    } catch (const TooDeep&) {
+      return {};
     }
     return unit;
   }
 
 private:
+  /// Holds one nesting level for the duration of a recursive parse step.
+  class Nest {
+  public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      parser_.check_depth(parser_.depth_ + 1);
+      ++parser_.depth_;
+      parser_.deepest_ = std::max(parser_.deepest_, parser_.depth_);
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+  private:
+    Parser& parser_;
+  };
+
+  void check_depth(std::size_t level) {
+    if (level <= kMaxAstDepth) return;
+    diags_.error(peek().loc, "nesting exceeds the maximum AST depth of " +
+                                 std::to_string(kMaxAstDepth));
+    throw TooDeep{};
+  }
+
+  /// A node built around already-parsed operands (binary, assignment and
+  /// postfix operators) pushes every one of them a level deeper.
+  void sink() {
+    check_depth(deepest_ + 1);
+    ++deepest_;
+  }
+
   [[nodiscard]] const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -141,6 +193,7 @@ private:
   }
 
   StmtPtr parse_stmt() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (at(Tok::LBrace)) return parse_block();
     if (at_type()) return parse_decl();
@@ -269,7 +322,13 @@ private:
     }
   }
 
+  // Depth bookkeeping for expressions: deepest_ is the deepest level any
+  // node of the expression being parsed occupies.  parse_assignment and
+  // parse_binary measure their operands from zero and merge the result
+  // back into the enclosing expression's value on return.
+
   ExprPtr parse_assignment() {
+    const std::size_t outer = std::exchange(deepest_, 0);
     ExprPtr lhs = parse_binary(0);
     if (is_assign_op(peek().kind)) {
       Token op = advance();
@@ -277,14 +336,17 @@ private:
         diags_.error(op.loc, "left side of assignment is not assignable");
         fatal_ = true;
       }
+      sink();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::Assign;
       node->loc = op.loc;
       node->op = op.kind;
       node->children.push_back(std::move(lhs));
+      const Nest nest(*this);
       node->children.push_back(parse_assignment());
-      return node;
+      lhs = std::move(node);
     }
+    deepest_ = std::max(outer, deepest_);
     return lhs;
   }
 
@@ -307,12 +369,14 @@ private:
   }
 
   ExprPtr parse_binary(int min_prec) {
+    const std::size_t outer = std::exchange(deepest_, 0);
     ExprPtr lhs = parse_unary();
     for (;;) {
       const int prec = precedence(peek().kind);
-      if (prec < 0 || prec < min_prec) return lhs;
+      if (prec < 0 || prec < min_prec) break;
       Token op = advance();
       ExprPtr rhs = parse_binary(prec + 1);
+      sink();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::Binary;
       node->loc = op.loc;
@@ -321,9 +385,12 @@ private:
       node->children.push_back(std::move(rhs));
       lhs = std::move(node);
     }
+    deepest_ = std::max(outer, deepest_);
+    return lhs;
   }
 
   ExprPtr parse_unary() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (at(Tok::Minus) || at(Tok::Bang) || at(Tok::Tilde)) {
       Token op = advance();
@@ -380,6 +447,7 @@ private:
       }
       if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
         Token op = advance();
+        sink();
         auto node = std::make_unique<Expr>();
         node->kind = ExprKind::IncDec;
         node->loc = op.loc;
@@ -450,6 +518,8 @@ private:
   DiagnosticEngine& diags_;
   std::size_t pos_ = 0;
   bool fatal_ = false;
+  std::size_t depth_ = 0;    ///< Level of the innermost open Nest.
+  std::size_t deepest_ = 0;  ///< See the expression depth bookkeeping.
 };
 
 }  // namespace

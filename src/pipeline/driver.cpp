@@ -3,7 +3,6 @@
 #include "frontend/compile.hpp"
 #include "ir/verifier.hpp"
 #include "opt/cleanup.hpp"
-#include "pipeline/session.hpp"
 
 namespace asipfb::pipeline {
 
@@ -75,33 +74,6 @@ PreparedProgram prepare_multi(std::string_view source, std::string name,
   }
   prepared.total_cycles = prepared.module.total_dynamic_ops();
   return prepared;
-}
-
-// The deprecated free-function stages below run through a transient Session
-// (one per call): the option normalization and stage plumbing live in
-// exactly one place, at the cost of a baseline copy the memoizing API
-// doesn't pay.  Held Sessions answer repeated queries from cache instead.
-
-ir::Module optimized_variant(const PreparedProgram& prepared, opt::OptLevel level,
-                             const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.optimized(level, options);
-}
-
-chain::DetectionResult analyze_level(const PreparedProgram& prepared,
-                                     opt::OptLevel level,
-                                     const chain::DetectorOptions& detector,
-                                     const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.detection(level, detector, options);
-}
-
-chain::CoverageResult coverage_at_level(const PreparedProgram& prepared,
-                                        opt::OptLevel level,
-                                        const chain::CoverageOptions& coverage,
-                                        const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.coverage(level, coverage, options);
 }
 
 }  // namespace asipfb::pipeline

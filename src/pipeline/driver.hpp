@@ -7,8 +7,7 @@
 // feeds all levels with a common frequency denominator) and execute()
 // runs a module over bound inputs.  Steps 3-4 live behind
 // pipeline::Session (session.hpp), which memoizes every downstream
-// artifact; the per-stage free functions at the bottom of this header are
-// deprecated shims over it.
+// artifact: wrap a PreparedProgram in a Session to optimize or analyze it.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "chain/coverage.hpp"
-#include "chain/detect.hpp"
 #include "ir/function.hpp"
-#include "opt/optimizer.hpp"
 #include "sim/machine.hpp"
 
 namespace asipfb::pipeline {
@@ -83,33 +79,5 @@ struct PreparedProgram {
                                             const std::vector<WorkloadInput>& inputs,
                                             bool fuse = sim::fuse_default(),
                                             bool jit = sim::jit_default());
-
-// --- Deprecated free-function stages ----------------------------------------
-// The functions below are thin compatibility shims over pipeline::Session
-// (pipeline/session.hpp), kept so out-of-tree callers and existing tests
-// keep compiling.  They re-run the full stage computation on every call;
-// new code should hold a Session (or fetch one from SessionPool), which
-// memoizes every downstream artifact per normalized option set.
-
-/// Step 3 for one level: a verified optimized copy of the baseline.
-/// Deprecated — use Session::optimized(), which caches the variant.
-[[nodiscard]] ir::Module optimized_variant(const PreparedProgram& prepared,
-                                           opt::OptLevel level,
-                                           const opt::OptimizeOptions& options = {});
-
-/// Steps 3-4 for one level: sequence detection on the optimized program,
-/// denominated in the baseline's total cycles.
-/// Deprecated — use Session::detection(), which caches the result.
-[[nodiscard]] chain::DetectionResult analyze_level(
-    const PreparedProgram& prepared, opt::OptLevel level,
-    const chain::DetectorOptions& detector = {},
-    const opt::OptimizeOptions& options = {});
-
-/// Coverage analysis (section 7) at one level.
-/// Deprecated — use Session::coverage(), which caches the result.
-[[nodiscard]] chain::CoverageResult coverage_at_level(
-    const PreparedProgram& prepared, opt::OptLevel level,
-    const chain::CoverageOptions& coverage = {},
-    const opt::OptimizeOptions& options = {});
 
 }  // namespace asipfb::pipeline

@@ -24,8 +24,8 @@
 // valid for the Session's lifetime.
 //
 // SessionPool is the process-wide directory of Sessions, keyed by workload
-// name — the service front door.  The legacy free functions in driver.hpp
-// and the PreparedCache in batch.hpp are thin shims over these two types.
+// name — the service front door.  Every pipeline stage in the tree, from
+// batch.hpp's fan-out to the service workers, runs through these two types.
 // docs/ARCHITECTURE.md has the full stage diagram and the
 // ownership/threading rules in prose.
 #pragma once

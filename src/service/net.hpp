@@ -1,38 +1,33 @@
-// TCP transport of the evaluation service: the line protocol
-// (protocol.hpp) served over real sockets instead of stdin/stdout, so
-// thousands of concurrent clients can drive a sharded deployment.
+// Front ends of the evaluation service's line protocol (protocol.hpp).
 //
 // Two layers:
 //
-//   * ProtocolSession — the transport-agnostic per-connection state
-//     machine.  Bytes in, ordered response lines out: it splits lines,
-//     parses commands, tracks `source` blocks, submits requests through a
-//     Router, and keeps one output slot per command so responses are
-//     written strictly in submission order no matter how the shard
-//     workers interleave (per-connection pipelining).  `stats` acts as a
-//     pipeline barrier — it renders only after every earlier request on
-//     the connection completed, reproducing the stdio front end's
-//     drain-then-print semantics, which is what makes a pipelined TCP
-//     session byte-identical to the checked-in stdio transcript.
+//   * ProtocolSession — the one protocol state machine, shared by every
+//     front end (asipfb_serve's stdin/stdout loop and TcpServer's
+//     connections).  Bytes in, ordered response lines out: it splits
+//     lines, parses commands, tracks `source` blocks, submits requests
+//     through a Router, and keeps one output slot per command so
+//     responses are written strictly in submission order no matter how
+//     the shard workers interleave (pipelining).  `stats` acts as a
+//     pipeline barrier — it renders only after every earlier request
+//     completed, so its counters are deterministic and a pipelined TCP
+//     session is byte-identical to the checked-in stdio transcript.
 //     Completion callbacks run on shard worker threads and only touch the
 //     session's internal shared state, so a connection that disappears
 //     mid-request leaves the in-flight job to finish harmlessly against
 //     that state (no worker death, no leak).
 //
 //   * TcpServer — accepts connections and drives one ProtocolSession per
-//     connection.  On Linux the default is a single epoll event loop
-//     (scales to thousands of mostly-idle connections); everywhere else —
-//     or on request — a portable thread-per-connection fallback.  Both
-//     paths handle slow and broken peers: nonblocking/bounded writes with
-//     per-connection buffers (a peer that stops reading past
-//     `write_buffer_limit` is dropped, and reading pauses while the
-//     buffer is high), idle timeouts, SIGPIPE-free sends, and
-//     per-connection error isolation (a protocol error poisons one
-//     connection's stream, never the process).
+//     connection from a single epoll event loop (Linux only; scales to
+//     thousands of mostly-idle connections).  It handles slow and broken
+//     peers: nonblocking/bounded writes with per-connection buffers (a
+//     peer that stops reading past `write_buffer_limit` is dropped, and
+//     reading pauses while the buffer is high), idle timeouts,
+//     SIGPIPE-free sends, and per-connection error isolation (a protocol
+//     error poisons one connection's stream, never the process).
 //
 // docs/SERVICE.md describes the connection lifecycle and overload
-// behavior in prose; tests/service/net_test.cpp pins the contracts over
-// both transports.
+// behavior in prose; tests/service/net_test.cpp pins the contracts.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +48,11 @@ class ProtocolSession {
  public:
   struct Options {
     bool with_latency = false;
-    /// Blocking transports (thread-per-connection) submit with shard-queue
-    /// backpressure applied to the connection thread; nonblocking
-    /// transports (epoll) leave this false and get parking instead: a
-    /// refused request is retried on the next completion, and
-    /// input_paused() tells the loop to stop reading meanwhile.
+    /// Blocking front ends (stdio) submit with shard-queue backpressure
+    /// applied to the reading thread; nonblocking ones (epoll) leave this
+    /// false and get parking instead: a refused request is retried on the
+    /// next completion, and input_paused() tells the loop to stop reading
+    /// meanwhile.
     bool blocking_submit = false;
     /// A single protocol line longer than this poisons the connection
     /// (one rendered error, then wants_close()).
@@ -97,7 +92,7 @@ class ProtocolSession {
   [[nodiscard]] std::string take_ready();
 
   /// Blocks until every submitted request has completed (not until output
-  /// is taken).  Blocking-transport helper; pump() afterwards to clear a
+  /// is taken).  Blocking front-end helper; pump() afterwards to clear a
   /// stats barrier or parse further buffered input.
   void wait_pending();
 
@@ -125,19 +120,13 @@ class ProtocolSession {
 };
 
 /// Socket front end: accepts TCP connections and runs one ProtocolSession
-/// per connection against a shared (possibly sharded) Router.
+/// per connection against a shared (possibly sharded) Router, all from one
+/// epoll event-loop thread.
 class TcpServer {
  public:
-  enum class Mode {
-    kAuto,      ///< epoll on Linux, threaded elsewhere.
-    kEpoll,     ///< Single event-loop thread (Linux only).
-    kThreaded,  ///< Portable thread-per-connection fallback.
-  };
-
   struct Options {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 = ephemeral; see port().
-    Mode mode = Mode::kAuto;
     bool with_latency = false;
     /// Close a connection with no read activity and no in-flight work for
     /// this long; 0 disables.
@@ -167,8 +156,9 @@ class TcpServer {
   };
 
   /// Binds, listens, and starts serving immediately; throws
-  /// std::system_error when the socket cannot be set up and
-  /// std::invalid_argument for kEpoll off-Linux.
+  /// std::system_error when the socket cannot be set up or off Linux
+  /// (epoll is the only transport) and std::invalid_argument for a
+  /// malformed bind address.
   TcpServer(Router& router, Options options);
   ~TcpServer();  ///< stop().
 
@@ -178,12 +168,9 @@ class TcpServer {
   /// The bound port (resolves port 0).
   [[nodiscard]] std::uint16_t port() const;
 
-  /// Which transport actually runs (kAuto resolved).
-  [[nodiscard]] Mode mode() const;
-
   /// Graceful stop: closes the listener, lets open connections drain
   /// in-flight responses for up to drain_grace_ms, then force-closes the
-  /// rest and joins the transport threads.  Idempotent.  The Router keeps
+  /// rest and joins the event-loop thread.  Idempotent.  The Router keeps
   /// running — shut it down separately.
   void stop();
 

@@ -2,8 +2,10 @@
 
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "pipeline/driver.hpp"
+#include "pipeline/session.hpp"
 #include "sim/baseline_hash.hpp"
 
 namespace asipfb::wl {
@@ -104,10 +106,11 @@ DifferentialOutcome check_workload(const Workload& w,
 
   out.levels_ok = true;
   if (options.check_levels) {
+    const pipeline::Session session(std::move(prepared));
     for (auto level : {opt::OptLevel::O1, opt::OptLevel::O2}) {
       ir::Module variant;
       try {
-        variant = pipeline::optimized_variant(prepared, level);
+        variant = session.optimized(level);
       } catch (const std::exception& e) {
         out.levels_ok = false;
         if (out.error.empty()) {

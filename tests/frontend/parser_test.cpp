@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace asipfb::fe {
 namespace {
 
@@ -163,6 +166,94 @@ TEST(Parser, ErrorUnbalancedParens) {
 
 TEST(Parser, EmptyStatementAllowed) {
   EXPECT_FALSE(parse_fails("int f() { ;;; return 0; }"));
+}
+
+// --- AST depth bound ----------------------------------------------------------
+// Each 100,000-level shape below used to overflow the stack (in the parser
+// itself, or in the walkers after it); now each is one located diagnostic.
+
+std::string repeat(std::string_view text, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += text;
+  return out;
+}
+
+/// `int main() { <prologue> return <expr>; }`, built by appends (GCC 12
+/// flags operator+ chains with a false -Wrestrict).
+std::string main_returning(std::string_view prologue, std::string_view expr) {
+  std::string out = "int main() { int x; ";
+  out += prologue;
+  out += " return ";
+  out += expr;
+  out += "; }";
+  return out;
+}
+
+std::string nested_parens(int n) {
+  std::string expr = repeat("(", n);
+  expr += "1";
+  expr += repeat(")", n);
+  return main_returning("x = 1;", expr);
+}
+
+std::string sum_of_ones(int terms) {
+  std::string out = "1";
+  out += repeat("+1", terms - 1);
+  return out;
+}
+
+std::string long_sum(int terms) {
+  return main_returning("x = 1;", sum_of_ones(terms));
+}
+
+std::string nested_ifs(int n) {
+  std::string prologue = "x = 1; ";
+  prologue += repeat("if (x) ", n);
+  prologue += "x = 2;";
+  return main_returning(prologue, "x");
+}
+
+void expect_too_deep(const std::string& src) {
+  DiagnosticEngine diags;
+  const auto unit = parse(src, diags);
+  ASSERT_EQ(diags.diagnostics().size(), 1u);
+  const Diagnostic& d = diags.diagnostics()[0];
+  EXPECT_NE(d.message.find("maximum AST depth"), std::string::npos)
+      << d.to_string();
+  EXPECT_EQ(d.loc.line, 1);
+  EXPECT_GT(d.loc.column, 1) << "the diagnostic points into the nesting";
+  EXPECT_TRUE(unit.functions.empty());
+}
+
+TEST(Parser, HundredThousandNestedParensAreDiagnosed) {
+  expect_too_deep(nested_parens(100000));
+}
+
+TEST(Parser, HundredThousandTermSumIsDiagnosed) {
+  // A left-associative chain: parse_binary's loop builds it without deep
+  // recursion, so only the per-node count catches it.
+  expect_too_deep(long_sum(100000));
+}
+
+TEST(Parser, HundredThousandNestedIfsAreDiagnosed) {
+  expect_too_deep(nested_ifs(100000));
+}
+
+TEST(Parser, NestingWellInsideTheBoundParses) {
+  (void)parse_ok(nested_parens(400));
+  (void)parse_ok(long_sum(400));
+  (void)parse_ok(nested_ifs(400));
+}
+
+TEST(Parser, ChainDepthsAddUpAcrossParentheses) {
+  // Two 300-term chains: each fits alone, but nesting one as the first
+  // operand of the other puts its leaves 600 levels down.
+  (void)parse_ok(long_sum(300));
+  std::string expr = "(";
+  expr += sum_of_ones(300);
+  expr += ")";
+  expr += repeat("+1", 299);
+  expect_too_deep(main_returning("x = 1;", expr));
 }
 
 }  // namespace

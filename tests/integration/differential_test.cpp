@@ -4,8 +4,7 @@
 // compare exactly because no transformation reassociates arithmetic.
 #include <gtest/gtest.h>
 
-#include <map>
-
+#include "pipeline/session.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb {
@@ -22,16 +21,10 @@ std::ostream& operator<<(std::ostream& os, const DiffCase& c) {
             << c.unroll_factor;
 }
 
-/// Prepared programs are cached per workload; preparing involves a full
-/// profiled simulation.
-const pipeline::PreparedProgram& prepared(const std::string& name) {
-  static std::map<std::string, pipeline::PreparedProgram> cache;
-  auto it = cache.find(name);
-  if (it == cache.end()) {
-    const auto& w = wl::workload(name);
-    it = cache.emplace(name, pipeline::prepare(w.source, w.name, w.input)).first;
-  }
-  return it->second;
+/// One pooled Session per workload: preparing involves a full profiled
+/// simulation, so every case of a workload shares it.
+const pipeline::Session& session(const std::string& name) {
+  return *pipeline::SessionPool::instance().get(name);
 }
 
 class Differential : public ::testing::TestWithParam<DiffCase> {};
@@ -39,14 +32,14 @@ class Differential : public ::testing::TestWithParam<DiffCase> {};
 TEST_P(Differential, OutputsBitIdenticalToBaseline) {
   const auto& param = GetParam();
   const auto& w = wl::workload(param.workload);
-  const auto& base_program = prepared(param.workload);
+  const auto& base_session = session(param.workload);
 
-  ir::Module reference = base_program.module;
+  ir::Module reference = base_session.prepared().module;
   const auto base = pipeline::execute(reference, w.input, w.outputs);
 
   opt::OptimizeOptions options;
   options.unroll.factor = param.unroll_factor;
-  ir::Module variant = pipeline::optimized_variant(base_program, param.level, options);
+  ir::Module variant = base_session.optimized(param.level, options);
   const auto run = pipeline::execute(variant, w.input, w.outputs);
 
   EXPECT_EQ(run.exit_code, base.exit_code);

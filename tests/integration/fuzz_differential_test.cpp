@@ -18,7 +18,9 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
+#include "pipeline/session.hpp"
 #include "sim/baseline_hash.hpp"
 #include "support/rng.hpp"
 #include "workloads/differential.hpp"
@@ -217,12 +219,13 @@ TEST_P(FuzzDifferential, AllLevelsAgree) {
     EXPECT_EQ(jitted.outputs, interp.outputs) << "seed " << seed << "\n" << source;
   }
 
+  const pipeline::Session session(std::move(prepared));
   for (auto level : {opt::OptLevel::O1, opt::OptLevel::O2}) {
     for (int factor : {2, 3}) {
       opt::OptimizeOptions options;
       options.unroll.factor = factor;
       ir::Module variant;
-      ASSERT_NO_THROW(variant = pipeline::optimized_variant(prepared, level, options))
+      ASSERT_NO_THROW(variant = session.optimized(level, options))
           << "seed " << seed << " level " << std::string(opt::to_string(level));
       const auto run = pipeline::execute(variant, input, outputs);
       EXPECT_EQ(run.exit_code, base.exit_code)

@@ -10,7 +10,7 @@
 //     serial execution,
 //   * one Session drives detection, coverage, and extension proposal for
 //     the same workload without re-preparing,
-//   * the legacy free functions are faithful shims over the same stages.
+//   * run_stages() fans out to exactly what direct Session queries return.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "pipeline/driver.hpp"
+#include "pipeline/batch.hpp"
 #include "support/rng.hpp"
 
 namespace asipfb::pipeline {
@@ -101,8 +101,8 @@ TEST(Session, RepeatedQueryReturnsIdenticalArtifactWithZeroRecompute) {
   EXPECT_EQ(after_first.detect_runs, 1u);
   EXPECT_EQ(after_first.optimize_runs, 1u);
 
-  // The analyze_level-equivalent repeated query: same cached object, no
-  // re-optimization, no re-detection.
+  // The repeated query: same cached object, no re-optimization, no
+  // re-detection.
   const auto& second = session.detection(opt::OptLevel::O1);
   EXPECT_EQ(&first, &second) << "same options must serve the cached artifact";
   const Session::Stats after_second = session.stats();
@@ -200,18 +200,31 @@ TEST(Session, ClearDropsArtifactsButKeepsTheBaseline) {
   EXPECT_EQ(stats.optimize_runs, 2u);
 }
 
-TEST(Session, LegacyFreeFunctionsAreFaithfulShims) {
-  const PreparedProgram prepared = prepare(kKernel, "shim", kernel_input());
-  const Session session(prepared);
-
+TEST(Session, StageFanOutMatchesDirectQueriesAtEveryLevel) {
+  const Session session(prepare(kKernel, "fanout", kernel_input()));
+  std::vector<StageRequest> requests;
   for (auto level :
        {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+    requests.push_back(StageRequest::detection_at(level));
+    requests.push_back(StageRequest::coverage_at(level));
+  }
+  SessionPool pool;
+  const auto batch = run_stages(
+      std::vector<BatchJob>{{"fanout", kKernel, kernel_input()}}, requests, {},
+      &pool);
+  ASSERT_EQ(batch.entries.size(), requests.size());
+  for (const StageResult& e : batch.entries) {
+    const opt::OptLevel level = e.request.level;
     const std::string context{opt::to_string(level)};
-    expect_same_detection(analyze_level(prepared, level),
-                          session.detection(level), context);
-    expect_same_coverage(coverage_at_level(prepared, level),
-                         session.coverage(level), context);
-    EXPECT_EQ(optimized_variant(prepared, level).instr_count(),
+    ASSERT_TRUE(e.ok()) << context << ": " << e.error;
+    if (e.request.stage == Stage::kDetection) {
+      expect_same_detection(*e.detection, session.detection(level), context);
+    } else {
+      expect_same_coverage(*e.coverage, session.coverage(level), context);
+    }
+    EXPECT_EQ(pool.get("fanout", kKernel, kernel_input())
+                  ->optimized(level)
+                  .instr_count(),
               session.optimized(level).instr_count())
         << context;
   }
