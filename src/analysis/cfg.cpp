@@ -1,6 +1,7 @@
 #include "analysis/cfg.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace asipfb::analysis {
 
@@ -16,25 +17,28 @@ std::vector<std::vector<BlockId>> predecessors(const ir::Function& fn) {
   return preds;
 }
 
-namespace {
-
-void post_order_visit(const ir::Function& fn, BlockId block,
-                      std::vector<bool>& visited, std::vector<BlockId>& order) {
-  visited[block] = true;
-  for (BlockId s : fn.blocks[block].successors()) {
-    if (!visited[s]) post_order_visit(fn, s, visited, order);
-  }
-  order.push_back(block);
-}
-
-}  // namespace
-
 std::vector<BlockId> reverse_post_order(const ir::Function& fn) {
   if (fn.blocks.empty()) return {};
   std::vector<bool> visited(fn.blocks.size(), false);
   std::vector<BlockId> order;
   order.reserve(fn.blocks.size());
-  post_order_visit(fn, 0, visited, order);
+  // Depth-first in the recursive visit order, but on an explicit stack of
+  // (block, next successor index) so long block chains cannot overflow.
+  std::vector<std::pair<BlockId, std::size_t>> stack{{0, 0}};
+  visited[0] = true;
+  while (!stack.empty()) {
+    auto& [block, next] = stack.back();
+    const auto succs = fn.blocks[block].successors();
+    if (next == succs.size()) {
+      order.push_back(block);
+      stack.pop_back();
+      continue;
+    }
+    const BlockId s = succs[next++];
+    if (visited[s]) continue;
+    visited[s] = true;
+    stack.emplace_back(s, 0);
+  }
   std::reverse(order.begin(), order.end());
   return order;
 }

@@ -1,98 +1,93 @@
 #include "analysis/liveness.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 namespace asipfb::analysis {
 
-Liveness::Liveness(const ir::Function& fn) {
-  const std::size_t nblocks = fn.blocks.size();
-  const std::size_t nregs = fn.reg_types.size();
-  live_in_.assign(nblocks, std::vector<bool>(nregs, false));
-  live_out_.assign(nblocks, std::vector<bool>(nregs, false));
-  use_.assign(nblocks, std::vector<bool>(nregs, false));
-  def_.assign(nblocks, std::vector<bool>(nregs, false));
-  for (std::size_t b = 0; b < nblocks; ++b) compute_use_def(fn, b);
+using ir::BlockId;
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Iterate blocks in reverse index order as a cheap approximation of
-    // post-order; the loop runs to fixpoint regardless.
-    for (std::size_t bi = nblocks; bi-- > 0;) {
-      const auto& block = fn.blocks[bi];
-      std::vector<bool> out(nregs, false);
-      for (ir::BlockId s : block.successors()) {
-        for (std::size_t r = 0; r < nregs; ++r) {
-          if (live_in_[s][r]) out[r] = true;
-        }
-      }
-      std::vector<bool> in = use_[bi];
-      for (std::size_t r = 0; r < nregs; ++r) {
-        if (out[r] && !def_[bi][r]) in[r] = true;
-      }
-      if (in != live_in_[bi] || out != live_out_[bi]) {
-        live_in_[bi] = std::move(in);
-        live_out_[bi] = std::move(out);
-        changed = true;
-      }
-    }
-  }
+namespace {
+
+enum : std::uint8_t { kFree = 0, kDefines = 1, kLive = 2 };
+
+/// Adds `block` to or removes it from the ascending list `blocks`.
+void set_member(std::vector<BlockId>& blocks, BlockId block, bool member) {
+  const auto it = std::lower_bound(blocks.begin(), blocks.end(), block);
+  const bool present = it != blocks.end() && *it == block;
+  if (member && !present) blocks.insert(it, block);
+  if (!member && present) blocks.erase(it);
 }
 
-void Liveness::compute_use_def(const ir::Function& fn, std::size_t block) {
-  auto& use = use_[block];
-  auto& def = def_[block];
-  std::fill(use.begin(), use.end(), false);
-  std::fill(def.begin(), def.end(), false);
-  for (const auto& instr : fn.blocks[block].instrs) {
-    for (ir::Reg a : instr.args) {
-      if (!def[a.id]) use[a.id] = true;
+}  // namespace
+
+Liveness::Liveness(const ir::Function& fn)
+    : uses_(fn.reg_types.size()),
+      defs_(fn.reg_types.size()),
+      live_in_(fn.reg_types.size()),
+      mark_(fn.blocks.size(), kFree) {
+  succs_.reserve(fn.blocks.size());
+  preds_.resize(fn.blocks.size());
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    const auto block = static_cast<BlockId>(b);
+    succs_.push_back(fn.blocks[b].successors());
+    for (BlockId s : succs_[b]) preds_[s].push_back(block);
+    // Lists fill in block order, so a list holds `block` iff it ends with it.
+    const auto has = [&](const auto& list) { return !list.empty() && list.back() == block; };
+    for (const auto& instr : fn.blocks[b].instrs) {
+      for (ir::Reg a : instr.args) {
+        if (!has(defs_[a.id]) && !has(uses_[a.id])) uses_[a.id].push_back(block);
+      }
+      if (instr.dst && !has(defs_[instr.dst->id])) defs_[instr.dst->id].push_back(block);
     }
-    if (instr.dst) def[instr.dst->id] = true;
   }
+  for (std::uint32_t r = 0; r < live_in_.size(); ++r) solve(r);
 }
 
-std::vector<ir::BlockId> Liveness::update(
-    const ir::Function& fn, const std::vector<std::vector<ir::BlockId>>& preds,
-    std::span<const ir::BlockId> edited, std::span<const ir::Reg> regs) {
-  for (ir::BlockId b : edited) compute_use_def(fn, b);
+void Liveness::solve(std::uint32_t reg) {
+  auto& in = live_in_[reg];
+  in.assign(uses_[reg].begin(), uses_[reg].end());
+  for (BlockId b : defs_[reg]) mark_[b] = kDefines;
+  for (BlockId b : in) mark_[b] = kLive;
+  // `in` doubles as the worklist: every block on it is live-in, so each of
+  // its predecessors is live-out and, unless it writes `reg`, live-in too.
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    for (BlockId p : preds_[in[i]]) {
+      if (mark_[p] != kFree) continue;
+      mark_[p] = kLive;
+      in.push_back(p);
+    }
+  }
+  for (BlockId b : in) mark_[b] = kFree;
+  for (BlockId b : defs_[reg]) mark_[b] = kFree;
+  std::sort(in.begin(), in.end());
+}
 
-  const std::size_t nblocks = live_in_.size();
-  std::vector<bool> changed(nblocks, false);
-  std::vector<bool> in(nblocks);
-  std::vector<ir::BlockId> work;
+std::vector<BlockId> Liveness::update(const ir::Function& fn,
+                                      std::span<const BlockId> edited,
+                                      std::span<const ir::Reg> regs) {
+  std::vector<BlockId> changed;
   for (ir::Reg reg : regs) {
-    const std::uint32_t r = reg.id;
-    work.clear();
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      in[b] = use_[b][r];
-      if (in[b]) work.push_back(static_cast<ir::BlockId>(b));
-      live_out_[b][r] = false;
-    }
-    while (!work.empty()) {
-      const ir::BlockId b = work.back();
-      work.pop_back();
-      for (ir::BlockId p : preds[b]) {
-        live_out_[p][r] = true;
-        if (!in[p] && !def_[p][r]) {
-          in[p] = true;
-          work.push_back(p);
-        }
+    for (BlockId b : edited) {
+      bool reads = false;
+      bool writes = false;
+      for (const auto& instr : fn.blocks[b].instrs) {
+        const auto& args = instr.args;
+        reads = reads || std::find(args.begin(), args.end(), reg) != args.end();
+        writes = instr.dst == reg;
+        if (writes) break;
       }
+      set_member(uses_[reg.id], b, reads);
+      set_member(defs_[reg.id], b, writes);
     }
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      if (live_in_[b][r] != in[b]) {
-        live_in_[b][r] = in[b];
-        changed[b] = true;
-      }
-    }
+    const auto before = std::move(live_in_[reg.id]);
+    solve(reg.id);
+    const auto& after = live_in_[reg.id];
+    std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
+                                  after.end(), std::back_inserter(changed));
   }
-
-  std::vector<ir::BlockId> result;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    if (changed[b]) result.push_back(static_cast<ir::BlockId>(b));
-  }
-  return result;
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  return changed;
 }
 
 }  // namespace asipfb::analysis

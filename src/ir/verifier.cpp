@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "analysis/liveness.hpp"
 #include "ir/printer.hpp"
 
 namespace asipfb::ir {
@@ -21,7 +22,7 @@ public:
     check_structure();
     if (!errors_.empty()) return;  // Structure errors make later checks noisy.
     check_instructions();
-    check_definite_assignment();
+    if (errors_.empty()) check_definite_assignment();  // Needs regs in range.
   }
 
 private:
@@ -182,9 +183,10 @@ private:
         break;
       case Copy:
         expect_args(instr, 1);
-        if (!instr.args.empty() && instr.dst && reg_ok(instr.args[0]) &&
-            reg_ok(*instr.dst) &&
-            fn_.type_of(instr.args[0]) != fn_.type_of(*instr.dst)) {
+        if (instr.args.empty()) break;
+        if (!reg_ok(instr.args[0]) || (instr.dst && !reg_ok(*instr.dst))) {
+          error_at(instr, "register out of range");
+        } else if (instr.dst && fn_.type_of(instr.args[0]) != fn_.type_of(*instr.dst)) {
           error_at(instr, "copy between mismatched types");
         }
         break;
@@ -292,74 +294,60 @@ private:
     }
   }
 
-  // Forward dataflow: the set of registers definitely assigned on entry to
-  // each block is the intersection over predecessors of (entry + defs).
-  // Any use outside the definitely-assigned set is reported.
+  // A register is used undefined where a path that starts with only the
+  // parameters defined (at the entry, or at a block no edge reaches) arrives
+  // at a read of it before any write.  Such a path runs through blocks the
+  // register is live into, so walk those forward from the start blocks,
+  // leaving a block only when it does not write the register.
   void check_definite_assignment() {
-    const std::size_t nregs = fn_.reg_types.size();
-    const std::size_t nblocks = fn_.blocks.size();
-    std::vector<std::vector<bool>> in(nblocks, std::vector<bool>(nregs, true));
-    std::vector<bool> entry_in(nregs, false);
-    for (Reg p : fn_.params) {
-      if (reg_ok(p)) entry_in[p.id] = true;
+    const analysis::Liveness liveness(fn_);
+    std::vector<bool> start(fn_.blocks.size(), true);
+    for (const auto& block : fn_.blocks) {
+      for (BlockId s : block.successors()) start[s] = false;
     }
-    in[0] = entry_in;
+    start[0] = true;
 
-    std::vector<std::vector<BlockId>> preds(nblocks);
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      for (BlockId s : fn_.blocks[b].successors()) {
-        preds[s].push_back(static_cast<BlockId>(b));
+    // Per block, the registers the walk reaches it with, ascending.
+    std::vector<std::vector<std::uint32_t>> undefined(fn_.blocks.size());
+    std::vector<BlockId> work;
+    for (std::uint32_t r = 0; r < fn_.reg_types.size(); ++r) {
+      const Reg reg{r};
+      if (std::find(fn_.params.begin(), fn_.params.end(), reg) != fn_.params.end()) continue;
+      const auto visit = [&](BlockId b) {
+        if (!undefined[b].empty() && undefined[b].back() == r) return;
+        undefined[b].push_back(r);
+        work.push_back(b);
+      };
+      for (BlockId b : liveness.live_in_blocks(reg)) {
+        if (start[b]) visit(b);
       }
-    }
-
-    auto block_out = [&](std::size_t b, const std::vector<bool>& block_in) {
-      std::vector<bool> out = block_in;
-      for (const auto& instr : fn_.blocks[b].instrs) {
-        if (instr.dst && reg_ok(*instr.dst)) out[instr.dst->id] = true;
-      }
-      return out;
-    };
-
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        std::vector<bool> new_in;
-        if (b == 0) {
-          // First execution enters with only parameters defined, regardless
-          // of any back edges into the entry block.
-          new_in = entry_in;
-        } else if (preds[b].empty()) {
-          // Unreachable block: nothing guaranteed; use entry facts so we do
-          // not emit spurious errors for dead code.
-          new_in = entry_in;
-        } else {
-          new_in.assign(nregs, true);
-          for (BlockId p : preds[b]) {
-            const auto out = block_out(p, in[p]);
-            for (std::size_t r = 0; r < nregs; ++r) {
-              new_in[r] = new_in[r] && out[r];
-            }
-          }
-        }
-        if (new_in != in[b]) {
-          in[b] = std::move(new_in);
-          changed = true;
+      while (!work.empty()) {
+        const BlockId b = work.back();
+        work.pop_back();
+        if (liveness.defines(b, reg)) continue;
+        for (BlockId s : fn_.blocks[b].successors()) {
+          if (liveness.live_in(s, reg)) visit(s);
         }
       }
     }
 
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      std::vector<bool> defined = in[b];
+    for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
+      auto& regs = undefined[b];
+      // Drops `r` from `regs`; true when it was there.
+      const auto take = [&](Reg r) {
+        const auto it = std::lower_bound(regs.begin(), regs.end(), r.id);
+        if (it == regs.end() || *it != r.id) return false;
+        regs.erase(it);
+        return true;
+      };
       for (const auto& instr : fn_.blocks[b].instrs) {
+        if (regs.empty()) break;
         for (Reg a : instr.args) {
-          if (reg_ok(a) && !defined[a.id]) {
-            error_at(instr, "use of possibly-undefined register r" +
-                                std::to_string(a.id));
-            defined[a.id] = true;  // Report each register once per block.
+          if (take(a)) {  // Reported once per block.
+            error_at(instr, "use of possibly-undefined register r" + std::to_string(a.id));
           }
         }
-        if (instr.dst && reg_ok(*instr.dst)) defined[instr.dst->id] = true;
+        if (instr.dst) take(*instr.dst);
       }
     }
   }

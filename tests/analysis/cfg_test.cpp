@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "ir/builder.hpp"
+#include "opt/unroll.hpp"
+#include "pipeline/driver.hpp"
+#include "workloads/suite.hpp"
 
 namespace asipfb::analysis {
 namespace {
@@ -80,6 +86,57 @@ TEST(Cfg, SelfLoopHandled) {
   const auto preds = predecessors(fn);
   EXPECT_EQ(preds[spin].size(), 2u);  // entry + itself (dedup'd successors).
   EXPECT_EQ(reverse_post_order(fn).size(), 2u);
+}
+
+TEST(Cfg, ReversePostOrderOfLongChainOnThread) {
+  // A straight chain this long overflowed a recursive depth-first search on
+  // a std::thread's default stack.
+  constexpr std::size_t kBlocks = 200000;
+  Function fn;
+  fn.return_type = Type::Void;
+  Builder b(fn);
+  for (std::size_t i = 0; i < kBlocks; ++i) b.create_block("b");
+  for (std::size_t i = 0; i + 1 < kBlocks; ++i) {
+    b.set_insert_point(static_cast<BlockId>(i));
+    b.emit_br(static_cast<BlockId>(i + 1));
+  }
+  b.set_insert_point(static_cast<BlockId>(kBlocks - 1));
+  b.emit_ret();
+
+  std::vector<BlockId> rpo;
+  std::thread worker([&] { rpo = reverse_post_order(fn); });
+  worker.join();
+  ASSERT_EQ(rpo.size(), kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    ASSERT_EQ(rpo[i], static_cast<BlockId>(i)) << "position " << i;
+  }
+}
+
+void recursive_post_order(const Function& fn, BlockId block,
+                          std::vector<bool>& visited, std::vector<BlockId>& order) {
+  visited[block] = true;
+  for (BlockId s : fn.blocks[block].successors()) {
+    if (!visited[s]) recursive_post_order(fn, s, visited, order);
+  }
+  order.push_back(block);
+}
+
+TEST(Cfg, ReversePostOrderMatchesRecursiveSearchOverSuite) {
+  // Dominators, loops and unrolling depend on the exact order, so the
+  // explicit-stack search must visit successors as the recursive one did.
+  for (const auto& w : wl::suite()) {
+    auto module = pipeline::prepare(w.source, w.name, w.input).module;
+    for (auto& fn : module.functions) {
+      for (const bool unrolled : {false, true}) {
+        if (unrolled) opt::unroll_loops(fn);
+        std::vector<bool> visited(fn.blocks.size(), false);
+        std::vector<BlockId> expected;
+        recursive_post_order(fn, 0, visited, expected);
+        std::reverse(expected.begin(), expected.end());
+        EXPECT_EQ(reverse_post_order(fn), expected) << w.name << " " << fn.name;
+      }
+    }
+  }
 }
 
 }  // namespace

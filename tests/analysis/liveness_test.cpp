@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -9,6 +10,10 @@
 #include "opt/rename.hpp"
 #include "opt/unroll.hpp"
 #include "pipeline/driver.hpp"
+#include "tests/analysis/liveness_reference.hpp"
+#include "tests/workloads/ladder_source.hpp"
+#include "workloads/generator.hpp"
+#include "workloads/mutate.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb::analysis {
@@ -126,7 +131,23 @@ TEST(Liveness, UseBeforeDefInSameBlockIsLiveIn) {
   EXPECT_TRUE(live.live_in(0, p));
 }
 
-/// Every live-in and live-out bit of `live` equals a fresh Liveness(fn).
+/// Every live-in and live-out bit of `live` equals the dense blocks x
+/// registers fixpoint that the per-register solver replaced.
+void expect_matches_dense(const Liveness& live, const Function& fn) {
+  const reference::DenseLiveness dense(fn);
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    const auto block = static_cast<BlockId>(b);
+    for (std::uint32_t r = 0; r < fn.reg_types.size(); ++r) {
+      ASSERT_EQ(live.live_in(block, Reg{r}), dense.live_in(block, Reg{r}))
+          << "live-in of r" << r << " at block " << b;
+      ASSERT_EQ(live.live_out(block, Reg{r}), dense.live_out(block, Reg{r}))
+          << "live-out of r" << r << " at block " << b;
+    }
+  }
+}
+
+/// Every live-in and live-out bit of `live` equals a fresh Liveness(fn),
+/// and both equal the dense fixpoint.
 void expect_matches_fresh(const Liveness& live, const Function& fn) {
   const Liveness fresh(fn);
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
@@ -138,18 +159,25 @@ void expect_matches_fresh(const Liveness& live, const Function& fn) {
           << "live-out of r" << r << " at block " << b;
     }
   }
+  expect_matches_dense(live, fn);
+}
+
+/// Per block, the registers live into it.
+std::vector<std::vector<std::uint32_t>> live_in_sets(const Liveness& live,
+                                                     const Function& fn) {
+  std::vector<std::vector<std::uint32_t>> sets(fn.blocks.size());
+  for (std::uint32_t r = 0; r < fn.reg_types.size(); ++r) {
+    for (BlockId b : live.live_in_blocks(Reg{r})) sets[b].push_back(r);
+  }
+  return sets;
 }
 
 /// Moves instruction `index` of block `from` to the end of block `to`
 /// (before its terminator), updates `live`, and checks the result against
 /// a fresh analysis, including the reported set of changed live-ins.
-void move_and_check(Function& fn, Liveness& live,
-                    const std::vector<std::vector<BlockId>>& preds,
-                    BlockId from, std::size_t index, BlockId to) {
-  std::vector<std::vector<bool>> before;
-  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-    before.push_back(live.live_in_set(static_cast<BlockId>(b)));
-  }
+void move_and_check(Function& fn, Liveness& live, BlockId from, std::size_t index,
+                    BlockId to) {
+  const auto before = live_in_sets(live, fn);
   auto& src = fn.blocks[from].instrs;
   const ir::Instr moved = src[index];
   src.erase(src.begin() + static_cast<std::ptrdiff_t>(index));
@@ -159,16 +187,63 @@ void move_and_check(Function& fn, Liveness& live,
   std::vector<Reg> regs = moved.args;
   if (moved.dst) regs.push_back(*moved.dst);
   const BlockId edited[] = {from, to};
-  const auto changed = live.update(fn, preds, edited, regs);
+  const auto changed = live.update(fn, edited, regs);
   expect_matches_fresh(live, fn);
 
+  const auto after = live_in_sets(live, fn);
   std::vector<BlockId> expected_changed;
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-    if (live.live_in_set(static_cast<BlockId>(b)) != before[b]) {
-      expected_changed.push_back(static_cast<BlockId>(b));
-    }
+    if (after[b] != before[b]) expected_changed.push_back(static_cast<BlockId>(b));
   }
   EXPECT_EQ(changed, expected_changed);
+}
+
+/// Compares a fresh Liveness with the dense fixpoint on every function of
+/// the prepared program, after unrolling and again after renaming.
+void expect_program_matches_dense(const std::string& source, const std::string& name,
+                                  const pipeline::WorkloadInput& input) {
+  SCOPED_TRACE(name);
+  auto module = pipeline::prepare(source, name, input).module;
+  for (auto& fn : module.functions) {
+    opt::unroll_loops(fn);
+    expect_matches_dense(Liveness(fn), fn);
+    opt::rename_registers(fn);
+    expect_matches_dense(Liveness(fn), fn);
+  }
+}
+
+TEST(Liveness, MatchesDenseFixpointOverSuite) {
+  for (const auto& w : wl::suite()) {
+    expect_program_matches_dense(w.source, w.name, w.input);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Liveness, MatchesDenseFixpointOverDefaultCorpus) {
+  for (const auto& w : wl::default_corpus()) {
+    expect_program_matches_dense(w.source, w.name, w.input);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The population scales with ASIPFB_FUZZ_COUNT; each scenario also gets
+// one stack of three mutations.
+TEST(Liveness, MatchesDenseFixpointOverEnvCorpusAndMutants) {
+  const auto corpus = wl::corpus(wl::env_corpus_spec());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const auto& w = corpus[i];
+    expect_program_matches_dense(w.source, w.name, w.input);
+    const auto mutant = wl::mutate(w.source, 0x9E3779B9u + i, 3);
+    expect_program_matches_dense(mutant.source, w.name + "_mut", w.input);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Liveness, MatchesDenseFixpointOverLadder) {
+  for (const int n : {50, 100, 200, 400, 800}) {
+    expect_program_matches_dense(wl::ladder_source(n), "ladder" + std::to_string(n), {});
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Liveness, UpdateKillsValueAroundBackEdge) {
@@ -202,8 +277,7 @@ TEST(Liveness, UpdateKillsValueAroundBackEdge) {
   ASSERT_TRUE(live.live_in(header, x));
   ASSERT_TRUE(live.live_in(latch, x));
 
-  const auto preds = predecessors(fn);
-  move_and_check(fn, live, preds, exit, 0, entry);
+  move_and_check(fn, live, exit, 0, entry);
   EXPECT_FALSE(live.live_in(header, x));
   EXPECT_FALSE(live.live_out(latch, x));
   EXPECT_TRUE(live.live_in(latch, y));
@@ -229,7 +303,7 @@ TEST(Liveness, UpdateMatchesFreshAlongMotionSequence) {
         const BlockId m = preds[n][0];
         if (fn.blocks[m].terminator().op != ir::Opcode::CondBr) continue;
         while (fn.blocks[n].instrs.size() > 1 && motions < 40) {
-          move_and_check(fn, live, preds, static_cast<BlockId>(n), 0, m);
+          move_and_check(fn, live, static_cast<BlockId>(n), 0, m);
           if (HasFatalFailure()) return;
           ++motions;
         }
