@@ -71,7 +71,7 @@ void print_usage(std::FILE* out) {
                "analysis options:\n"
                "  --level O0|O1|O2     optimization level for analysis  (default O1)\n"
                "  --min N              minimum sequence length          (default 2)\n"
-               "  --max N              maximum sequence length          (default 5)\n"
+               "  --max N              maximum sequence length, 1..8    (default 5)\n"
                "  --coverage           run the iterative coverage analysis too\n"
                "  --floor P            coverage significance floor      (default 4.0)\n"
                "  --asip AREA          propose chained instructions under an area\n"
@@ -120,6 +120,12 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       const char* v = next();
       if (v == nullptr) return false;
       options.detector.max_length = std::atoi(v);
+      if (options.detector.max_length < 1 ||
+          options.detector.max_length > chain::kMaxSequenceLength) {
+        std::fprintf(stderr, "error: --max must be in [1, %d]\n",
+                     chain::kMaxSequenceLength);
+        return false;
+      }
     } else if (arg == "--coverage") {
       options.run_coverage = true;
     } else if (arg == "--floor") {

@@ -8,10 +8,14 @@
 // Each surviving path of length L executing w times accounts for L*w
 // operation-cycles; per-signature totals divided by the program's total
 // dynamic operation count give the paper's "dynamic frequency".
+//
+// The search carries each path as its packed signature (signature.hpp), so
+// recording a path is one SignatureIndex lookup into dense per-signature
+// totals: nothing is allocated per path.  Packed keys order exactly like
+// Signature, so results sort as they would on the vectors.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "chain/region_graph.hpp"
@@ -21,7 +25,8 @@ namespace asipfb::chain {
 
 struct DetectorOptions {
   int min_length = 2;            ///< Shortest sequence reported (paper: 2).
-  int max_length = 5;            ///< Longest sequence searched (paper: 5).
+  int max_length = 5;            ///< Longest sequence searched (paper: 5;
+                                 ///< at most kMaxSequenceLength).
   /// Branch-and-bound floor: paths whose maximum possible contribution is
   /// below this percentage of total cycles are pruned.  0 disables pruning
   /// (exhaustive enumeration).
@@ -56,6 +61,7 @@ struct DetectionResult {
 /// Runs detection over a profiled module.  `total_cycles` fixes the
 /// frequency denominator (pass the unoptimized profile's total so levels are
 /// comparable, as the paper does); 0 means "use this module's own total".
+/// Throws std::invalid_argument unless 1 <= max_length <= kMaxSequenceLength.
 [[nodiscard]] DetectionResult detect_sequences(const ir::Module& module,
                                                const DetectorOptions& options = {},
                                                std::uint64_t total_cycles = 0);

@@ -1,7 +1,5 @@
 #include "chain/region_graph.hpp"
 
-#include <map>
-
 #include "analysis/traces.hpp"
 
 namespace asipfb::chain {
@@ -12,15 +10,19 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const auto& fn = module.functions[f];
     const auto traces = analysis::form_traces(fn);
+    std::vector<int> latest_def(fn.reg_types.size());
+    std::vector<std::uint32_t> def_trace(fn.reg_types.size(), 0);
+    std::uint32_t trace_stamp = 0;
 
     for (const auto& trace : traces) {
       RegionGraph region;
       region.func = static_cast<ir::FuncId>(f);
       region.blocks = trace;
 
-      // Latest definition of each register so far; values are indices into
-      // region.nodes, or -1 for a definition by a non-chainable op.
-      std::map<std::uint32_t, int> latest_def;
+      // Latest definition of each register so far in this trace: an index
+      // into region.nodes, or -1 for a definition by a non-chainable op.
+      // Valid only where def_trace matches this trace's stamp.
+      ++trace_stamp;
       // Most recent chainable op with only constants after it (see
       // RegionNode::adjacent_pred).
       std::size_t adjacent_candidate = SIZE_MAX;
@@ -42,16 +44,18 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
             // (deduplicated: one edge even if both operands match).
             int last_producer = -1;
             for (ir::Reg a : instr.args) {
-              const auto def = latest_def.find(a.id);
-              if (def == latest_def.end()) continue;
-              const int producer = def->second;
+              if (def_trace[a.id] != trace_stamp) continue;
+              const int producer = latest_def[a.id];
               if (producer < 0 || producer == last_producer) continue;
               region.succs[static_cast<std::size_t>(producer)].push_back(
                   static_cast<std::size_t>(this_node));
               last_producer = producer;
             }
           }
-          if (instr.dst) latest_def[instr.dst->id] = this_node;
+          if (instr.dst) {
+            latest_def[instr.dst->id] = this_node;
+            def_trace[instr.dst->id] = trace_stamp;
+          }
 
           // Track textual adjacency: a chainable op becomes the candidate
           // for its textual successor; any other instruction (constant

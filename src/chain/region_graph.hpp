@@ -43,7 +43,8 @@ struct RegionGraph {
 };
 
 /// Builds the chain graph of every trace of every function.  Regions without
-/// any chain edge are omitted.
+/// any chain edge are omitted.  Register ids must be below each function's
+/// reg_types.size(), as ir::verify checks.
 [[nodiscard]] std::vector<RegionGraph> build_region_graphs(const ir::Module& module);
 
 }  // namespace asipfb::chain

@@ -18,11 +18,16 @@ public:
       : module_(module), fn_(fn), errors_(errors) {}
 
   void run() {
+    // errors_ is shared by the whole module: compare against its size at
+    // entry so an earlier function's errors do not skip this one's checks.
+    const std::size_t errors_at_entry = errors_.size();
     check_params();
     check_structure();
-    if (!errors_.empty()) return;  // Structure errors make later checks noisy.
+    // Structure errors make later checks noisy.
+    if (errors_.size() != errors_at_entry) return;
     check_instructions();
-    if (errors_.empty()) check_definite_assignment();  // Needs regs in range.
+    // Needs regs in range.
+    if (errors_.size() == errors_at_entry) check_definite_assignment();
   }
 
 private:

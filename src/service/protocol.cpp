@@ -86,6 +86,11 @@ void apply_option(Request& request, const std::string& key,
     request.coverage.min_length = request.detector.min_length;
   } else if (key == "max") {
     request.detector.max_length = parse_int(value, "max");
+    if (request.detector.max_length < 1 ||
+        request.detector.max_length > chain::kMaxSequenceLength) {
+      fail("invalid max '" + value + "' (want 1.." +
+           std::to_string(chain::kMaxSequenceLength) + ")");
+    }
     request.coverage.max_length = request.detector.max_length;
   } else if (key == "prune") {
     request.detector.prune_percent = parse_double(value, "prune");

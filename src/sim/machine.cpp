@@ -26,8 +26,8 @@ bool fuse_default() {
 Machine::Machine(ir::Module& module, std::uint32_t frame_region_words)
     : module_(module), program_(decode(module)) {
   globals_end_ = program_.globals_end;
-  memory_.assign(static_cast<std::size_t>(globals_end_) + frame_region_words, 0);
-  frame_dirty_end_ = globals_end_;  // assign() left the frame region zeroed.
+  memory_ = WordMemory(static_cast<std::size_t>(globals_end_) + frame_region_words);
+  frame_dirty_end_ = globals_end_;  // A fresh mapping reads as zero.
   frames_.reserve(64);
   reset_memory();
 }
@@ -35,7 +35,7 @@ Machine::Machine(ir::Module& module, std::uint32_t frame_region_words)
 void Machine::reset_memory() {
   // frame_dirty_end_ >= globals_end_ always, so one contiguous fill covers
   // the globals and every frame word any run has stored to.
-  std::fill(memory_.begin(), memory_.begin() + frame_dirty_end_, 0);
+  std::fill(memory_.data(), memory_.data() + frame_dirty_end_, 0);
   frame_dirty_end_ = globals_end_;
   for (const auto& g : module_.globals) {
     for (std::size_t i = 0; i < g.init.size() && i < g.size; ++i) {
@@ -109,17 +109,16 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
       use_jit ? nullptr : (options.fuse ? fused_code() : program_.code.data());
   // Deterministic reuse: every run starts with a pristine frame region.
   // Globals are left alone so inputs written via write_global persist.
-  std::fill(memory_.begin() + globals_end_,
-            memory_.begin() + frame_dirty_end_, 0);
+  std::fill(memory_.data() + globals_end_, memory_.data() + frame_dirty_end_, 0);
   frame_dirty_end_ = globals_end_;
-  // A faulted run abandons its dirty-region bookkeeping; treat the whole
-  // frame region as dirty so the next clear is still correct.
+  // A faulted run abandons its dirty-region bookkeeping, so the whole frame
+  // region is cleared before the exception leaves.
   if (!options.profile) {
     try {
       return use_jit ? exec_jit(options, fid, false)
                      : exec<false>(options, fid, code);
     } catch (...) {
-      frame_dirty_end_ = static_cast<std::uint32_t>(memory_.size());
+      clear_frames_after_fault();
       throw;
     }
   }
@@ -138,7 +137,7 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
     program_.flush_profile(profile_.data());
     return result;
   } catch (...) {
-    frame_dirty_end_ = static_cast<std::uint32_t>(memory_.size());
+    clear_frames_after_fault();
     // fault_ip_ marks the faulting instruction; a pre-loop fault (entry
     // checks) left frames_ empty and the counters all zero, so the
     // expansion and fixup are no-ops then.
@@ -147,6 +146,11 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
     program_.flush_profile(profile_.data());
     throw;
   }
+}
+
+void Machine::clear_frames_after_fault() {
+  memory_.zero(globals_end_, memory_.size());
+  frame_dirty_end_ = globals_end_;
 }
 
 template <bool Profile>

@@ -26,6 +26,7 @@
 #include "ir/function.hpp"
 #include "sim/fuse.hpp"
 #include "sim/program.hpp"
+#include "sim/word_memory.hpp"
 
 namespace asipfb::sim {
 
@@ -76,7 +77,10 @@ class Machine {
 public:
   /// Decodes the module.  `module` must outlive the machine and must not
   /// be structurally modified while it is in use; with SimOptions::profile
-  /// a run mutates the module's exec_count annotations.
+  /// a run mutates the module's exec_count annotations.  Memory is the
+  /// globals followed by a `frame_region_words` frame region (4 MiB by
+  /// default) that is zeroed lazily: it is an anonymous mapping whose pages
+  /// are neither written nor faulted in until a run stores to them.
   explicit Machine(ir::Module& module, std::uint32_t frame_region_words = 1u << 20);
 
   /// Out-of-line: jit_ needs JitProgram complete (defined in sim/jit.cpp).
@@ -143,6 +147,10 @@ private:
   /// machinery on every call, return, and fault exit.
   SimResult exec_jit(const SimOptions& options, ir::FuncId entry, bool profile);
 
+  /// After a fault: the run's dirty extent is lost, so zero the whole frame
+  /// region by releasing its pages instead of writing every word.
+  void clear_frames_after_fault();
+
   /// Expands block_counts_ into the per-instruction profile_ table.
   void expand_profile();
 
@@ -163,7 +171,10 @@ private:
   /// stencils bump block counters unconditionally so one compiled buffer
   /// serves both modes.
   std::vector<std::uint64_t> jit_scratch_counts_;
-  std::vector<std::uint32_t> memory_;
+  /// Globals, then the frame region.  The frame region is zeroed lazily:
+  /// its pages are never written until a run stores to them (see
+  /// sim/word_memory.hpp), so an unused frame region costs no page faults.
+  WordMemory memory_;
   std::uint32_t globals_end_ = 0;
   /// One past the highest frame-region word any run has stored to since the
   /// region was last cleared.  Frame memory is only ever dirtied by stores

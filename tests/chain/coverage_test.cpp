@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
 #include "sim/machine.hpp"
@@ -131,6 +133,18 @@ TEST(Coverage, ExternalDenominator) {
     EXPECT_LT(half_base.steps[0].frequency, full_base.steps[0].frequency);
   }
   EXPECT_EQ(half_base.total_cycles, total * 2);
+}
+
+TEST(Coverage, MaxLengthOutsideOneToEightThrows) {
+  auto m = profiled(kMacLoop);
+  for (const int bad : {0, 9, 24}) {
+    CoverageOptions options;
+    options.max_length = bad;
+    EXPECT_THROW((void)coverage_analysis(m, options), std::invalid_argument) << bad;
+  }
+  CoverageOptions longest;
+  longest.max_length = kMaxSequenceLength;
+  EXPECT_NO_THROW((void)coverage_analysis(m, longest));
 }
 
 }  // namespace

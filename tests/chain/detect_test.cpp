@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
 #include "sim/machine.hpp"
@@ -165,6 +167,19 @@ TEST(Detect, FrequencyOfUnknownSignatureIsZero) {
   const auto result = detect_sequences(m);
   const auto sig = parse_signature("fdivide-fdivide-fdivide");
   EXPECT_EQ(result.frequency_of(*sig), 0.0);
+}
+
+TEST(Detect, MaxLengthOutsideOneToEightThrows) {
+  auto m = profiled(
+      "int main() { int a = 3; int b = 4; int c = 5; return a * b + c; }");
+  for (const int bad : {0, 9, 24}) {
+    DetectorOptions options;
+    options.max_length = bad;
+    EXPECT_THROW((void)detect_sequences(m, options), std::invalid_argument) << bad;
+  }
+  DetectorOptions longest;
+  longest.max_length = kMaxSequenceLength;
+  EXPECT_NO_THROW((void)detect_sequences(m, longest));
 }
 
 }  // namespace

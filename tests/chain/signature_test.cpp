@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace asipfb::chain {
 namespace {
 
@@ -54,6 +57,62 @@ TEST(Signature, OrderingIsLexicographic) {
 TEST(Signature, LengthMatchesClassCount) {
   EXPECT_EQ(parse_signature("add-add-add-add-add")->length(), 5u);
   EXPECT_EQ(parse_signature("load")->length(), 1u);
+}
+
+/// Every signature of length 1-2, plus a few of the longest length.
+std::vector<Signature> packing_samples() {
+  std::vector<Signature> out;
+  const int classes = static_cast<int>(ChainClass::None);
+  for (int a = 0; a < classes; ++a) {
+    out.push_back(Signature{{static_cast<ChainClass>(a)}});
+    for (int b = 0; b < classes; ++b) {
+      out.push_back(Signature{{static_cast<ChainClass>(a), static_cast<ChainClass>(b)}});
+    }
+  }
+  for (int a = 0; a < classes; a += 5) {
+    Signature sig;
+    for (int i = 0; i < kMaxSequenceLength; ++i) {
+      sig.classes.push_back(static_cast<ChainClass>((a + 3 * i) % classes));
+    }
+    out.push_back(sig);
+    sig.classes.pop_back();
+    out.push_back(sig);
+  }
+  out.push_back(Signature{std::vector<ChainClass>(kMaxSequenceLength, ChainClass::FStore)});
+  return out;
+}
+
+TEST(PackedSignature, RoundTripsAndOrdersLikeSignatures) {
+  const auto samples = packing_samples();
+  for (const Signature& a : samples) {
+    ASSERT_EQ(unpack(pack(a)), a) << a.to_string();
+    ASSERT_NE(pack(a), 0u);
+    for (const Signature& b : samples) {
+      ASSERT_EQ(pack(a) < pack(b), a < b) << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  EXPECT_EQ(pack(Signature{}), 0u);
+  EXPECT_TRUE(unpack(0).classes.empty());
+}
+
+TEST(PackedSignature, IndexNumbersKeysInFirstSeenOrder) {
+  SignatureIndex index;
+  const auto samples = packing_samples();  // More keys than the first table holds.
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_EQ(index.id(pack(samples[i])), i);
+  }
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_EQ(index.id(pack(samples[i])), i);
+    ASSERT_EQ(index.keys()[i], pack(samples[i]));
+  }
+  EXPECT_EQ(index.keys().size(), samples.size());
+}
+
+TEST(PackedSignature, MaxLengthMustLieInOneToEight) {
+  EXPECT_THROW(check_max_length(0), std::invalid_argument);
+  EXPECT_THROW(check_max_length(9), std::invalid_argument);
+  EXPECT_NO_THROW(check_max_length(1));
+  EXPECT_NO_THROW(check_max_length(kMaxSequenceLength));
 }
 
 }  // namespace

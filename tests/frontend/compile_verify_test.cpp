@@ -47,6 +47,29 @@ int main() {
   }
 }
 
+// Errors in one function must not hide those of the functions after it.
+TEST(CompileVerify, EveryFunctionWithUninitializedLocalsIsReported) {
+  const char* const source = R"(int g[4];
+int helper(int n) {
+  int t;
+  return t + n;
+}
+int main() {
+  int x;
+  return x + helper(g[1]);
+}
+)";
+  try {
+    (void)compile_benchc(source, "uninit2");
+    FAIL() << "expected a verification failure";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "IR verification failed for module 'uninit2':\n"
+              "  function 'helper': use of possibly-undefined register r1 in 'r2 = add r1, r0'\n"
+              "  function 'main': use of possibly-undefined register r0 in 'r6 = add r0, r5'");
+  }
+}
+
 TEST(CompileVerify, TwentyThousandIfLadderCompilesInBoundedMemory) {
   // ~0.9 MB of source, 40,001 blocks and 120,281 registers.  A dense
   // blocks x registers dataflow over this function needs ~600 MB for one

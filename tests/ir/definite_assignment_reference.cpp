@@ -77,11 +77,7 @@ void check_function(const Module& module, const Function& fn,
 
 std::vector<std::string> definite_assignment_errors(const Module& module) {
   std::vector<std::string> errors;
-  for (const auto& fn : module.functions) {
-    // The verifier checks no further function once one has errors.
-    if (!errors.empty()) break;
-    check_function(module, fn, errors);
-  }
+  for (const auto& fn : module.functions) check_function(module, fn, errors);
   return errors;
 }
 

@@ -11,8 +11,7 @@
 namespace asipfb::ir::reference {
 
 /// The "use of possibly-undefined register" errors of `module`, worded and
-/// ordered as ir::verify reports them: function by function, up to the
-/// first function with errors.  The module must pass the verifier's
+/// ordered as ir::verify reports them: function by function.  The module must pass the verifier's
 /// structural and instruction checks.
 [[nodiscard]] std::vector<std::string> definite_assignment_errors(const Module& module);
 

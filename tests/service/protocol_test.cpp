@@ -130,6 +130,24 @@ TEST(ServiceProtocol, MalformedLinesThrowWithDiagnostics) {
   }
 }
 
+// Paths per op grow as 2^(max-1), so the network may not ask for more
+// than chain::kMaxSequenceLength.
+TEST(ServiceProtocol, MaxOutsideOneToEightIsRejected) {
+  for (const char* bad : {"0", "-1", "9", "24"}) {
+    for (const char* kind : {"detect", "coverage"}) {
+      try {
+        (void)parse_command(std::string("1 ") + kind + " fir max=" + bad);
+        FAIL() << "expected invalid_argument for max=" << bad;
+      } catch (const std::invalid_argument& ex) {
+        EXPECT_EQ(std::string(ex.what()),
+                  std::string("invalid max '") + bad + "' (want 1..8)");
+      }
+    }
+  }
+  EXPECT_EQ(parse_command("1 coverage fir max=8").request.coverage.max_length, 8);
+  EXPECT_EQ(parse_command("1 detect fir max=1").request.detector.max_length, 1);
+}
+
 TEST(ServiceProtocol, RenderedResponsesAreDeterministicOneLiners) {
   Response r;
   r.id = 3;

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "frontend/compile.hpp"
 #include "ir/builder.hpp"
@@ -245,6 +246,68 @@ TEST(Machine, RecursionUsesDistinctFrames) {
       return local[0] + sum(n - 1);
     }
     int main() { return sum(5); })"), 15);
+}
+
+// The default frame region is 4 MiB (1,024 pages).  It is a lazily zeroed
+// mapping, so a Machine that runs a small program faults in only the pages
+// it touches; a zero-filled region would cost one fault per page.
+TEST(MachineMemory, SmallModuleLifetimeTouchesFewPages) {
+  ir::Module m = fe::compile_benchc(R"(
+    int g[4];
+    int main() {
+      int a[8];
+      a[3] = 5;
+      g[1] = a[3];
+      return g[1];
+    })", "pages");
+  auto lifetime = [&m] {
+    Machine machine(m);
+    SimOptions options;
+    options.profile = true;
+    return machine.run(options).exit_code;
+  };
+  ASSERT_EQ(lifetime(), 5);  // Warms allocator arenas and the JIT's code pages.
+  rusage before{};
+  rusage after{};
+  getrusage(RUSAGE_SELF, &before);
+  const int exit_code = lifetime();
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(exit_code, 5);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 256);
+}
+
+TEST(MachineMemory, StoresAfterFaultSeeZeroedFrames) {
+  // The faulting run dirties a frame, then the fault releases the region;
+  // a local read before it is written must read zero on the next run.
+  ir::Module m = fe::compile_benchc(R"(
+    int g[1];
+    int main() {
+      int a[1024];
+      int i;
+      if (g[0] == 1) return a[700];
+      for (i = 0; i < 1024; i++) a[i] = i + 1;
+      return a[700] / g[0];
+    })", "fault");
+  Machine machine(m);
+  EXPECT_THROW(machine.run(), SimError);  // Division by zero.
+  machine.write_global("g", std::vector<std::int32_t>{1});
+  EXPECT_EQ(machine.run().exit_code, 0);
+}
+
+TEST(WordMemory, ZeroClearsExactlyTheRange) {
+  const std::size_t words = 5000;  // Several pages and a partial tail page.
+  WordMemory memory(words);
+  for (std::size_t i = 0; i < words; ++i) memory[i] = static_cast<std::uint32_t>(i + 1);
+  memory.zero(3, 4097);
+  memory.zero(4500, words);
+  for (std::size_t i = 0; i < words; ++i) {
+    const bool cleared = (i >= 3 && i < 4097) || i >= 4500;
+    ASSERT_EQ(memory[i], cleared ? 0u : static_cast<std::uint32_t>(i + 1)) << i;
+  }
+  WordMemory moved = std::move(memory);
+  EXPECT_EQ(memory.size(), 0u);
+  EXPECT_EQ(moved.size(), words);
+  EXPECT_EQ(moved[2], 3u);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
             located depth error, and the next `ping` is still answered;
           * EOF inside a `source` block gets the EOF error line;
           * a protocol line over 1 MiB gets the line-length error and ends
-            the session.
+            the session;
+          * detect/coverage requests with max=9 get the same range error
+            line on every run.
 
 Registered as ctest cases (examples_serve_stdio_test.*); exits nonzero with
 a diff on the first mismatch.
@@ -85,6 +87,13 @@ def edges(binary: str) -> bool:
                  run(binary, b"ping\nsource broken 5\nonly one line\n"),
                  PONG + '{"ok": false, "error": '
                         '"EOF inside source block \'broken\'"}\n')
+
+    max_error = '{"ok": false, "error": "invalid max \'9\' (want 1..8)"}\n'
+    for attempt in (1, 2):
+        ok &= expect(f"max out of range, run {attempt}",
+                     run(binary, b"1 detect fir max=9\n2 coverage fir max=9\n"
+                                 b"ping\n"),
+                     max_error + max_error + PONG)
 
     ok &= expect("over-long line",
                  run(binary, b"ping\n" + b"x" * (MAX_LINE_BYTES + 1) +
